@@ -549,8 +549,12 @@ def partition_stall(
             window_end = max(heals)
         drain_until = max(drain_until, window_end + 1.0)
     # One closed-loop thread per client: the scenario is qualitative
-    # (availability, not saturation), and the consistency checker's closure
-    # walk is super-linear in history size, so keep the history small.
+    # (availability, not saturation), and the consistency checker's cost
+    # per event still rises with load, so keep the history small.  At the
+    # small scale (paris, 2-core Xeon, Python 3.11) it checks 16k events
+    # in 3.0 s at one thread per client (0.19 ms/event, against 5.4 s of
+    # simulation) but 109k events in 68 s at eight (0.62 ms/event, against
+    # 46 s of simulation).
     workload = replace(
         WorkloadConfig.read_heavy(),
         locality=1.0,

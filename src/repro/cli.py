@@ -710,8 +710,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     ``--trace-in TRACE`` skips the simulation entirely and re-checks a
     persisted JSONL trace through the streaming checker (``--window``
-    bounds its memory; unbounded re-checks are exactly equivalent to the
-    in-memory checker).  ``--trace-out TRACE`` persists the just-checked
+    bounds its memory; unbounded re-checks are exactly the in-memory
+    checker).  A truncated, corrupt, or malformed trace exits 2, naming
+    the file and line.  ``--trace-out TRACE`` persists the just-checked
     history for later re-checking.
     """
     from .protocols import get_protocol
@@ -719,8 +720,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     level = get_protocol(args.protocol).consistency
     if args.trace_in is not None:
         from .consistency.streaming import check_trace
+        from .sim.trace import TraceError
 
-        checker = check_trace(args.trace_in, window=args.window, level=level)
+        try:
+            checker = check_trace(args.trace_in, window=args.window, level=level)
+        except (TraceError, OSError) as exc:
+            print(f"trace check failed: {exc}", file=sys.stderr)
+            return 2
         violations = checker.violations
         window_text = "unbounded" if args.window is None else f"{args.window:g}s"
         print(
@@ -978,12 +984,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     would have written.  A truncated or corrupt shard file is a named
     error (exit 2), never a silently shorter merge.
     """
-    from .consistency.streaming import TraceMergeError, merge_traces
+    from .consistency.streaming import merge_traces
+    from .sim.trace import TraceError
 
     if args.trace_command == "merge":
         try:
             count = merge_traces(args.inputs, args.out)
-        except (TraceMergeError, OSError) as exc:
+        except (TraceError, OSError) as exc:
             print(f"trace merge failed: {exc}", file=sys.stderr)
             return 2
         print(

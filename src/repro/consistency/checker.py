@@ -1,6 +1,6 @@
 """TCC invariant checking over oracle-recorded histories.
 
-Four invariants are verified (Section II-B semantics):
+Five invariants are verified (Section II-B semantics):
 
 * **Causal snapshot** — if a transactional read returns version X, and X
   (transitively) depends on some version D of key y, then the read's returned
@@ -12,32 +12,38 @@ Four invariants are verified (Section II-B semantics):
   version of a key or something newer.
 * **Monotonic reads** — per client and key, returned versions never go
   backwards across transactions.
+* **Dependency timestamps** — every version's update time exceeds those of
+  its dependencies (Proposition 1).
 
 The checker is sound, not complete: dependency tracking keeps the newest
 observed version per key of a session, so a violation report is always a real
 violation, while some exotic violation shapes could in principle escape.  The
 suite also runs the checker against a deliberately broken protocol to show it
 catches real anomalies.
+
+:class:`ConsistencyChecker` is the unbounded-window case of
+:class:`~repro.consistency.streaming.StreamingChecker`: it replays the
+oracle's history as an event stream and filters the one verdict list by
+invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from .oracle import ConsistencyOracle, VersionId, _vid_order
+from .oracle import ConsistencyOracle
+from .streaming import StreamingChecker, Violation, oracle_events
 
+__all__ = ["ConsistencyChecker", "Violation"]
 
-@dataclass(frozen=True)
-class Violation:
-    """One detected consistency violation."""
-
-    kind: str
-    client: str
-    detail: str
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"[{self.kind}] client={self.client}: {self.detail}"
+#: Violation kinds in the order :meth:`ConsistencyChecker.check_all` groups them.
+KINDS = (
+    "causal-snapshot",
+    "atomic-visibility",
+    "read-your-writes",
+    "monotonic-reads",
+    "dependency-timestamps",
+)
 
 
 class ConsistencyChecker:
@@ -45,21 +51,11 @@ class ConsistencyChecker:
 
     def __init__(self, oracle: ConsistencyOracle) -> None:
         self.oracle = oracle
-        #: Memoized per-key dependency frontier of each version's closure.
-        self._closure_cache: Dict[VersionId, Dict[str, VersionId]] = {}
+        self._verdicts: Dict[str, List[Violation]] = {}
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def check_all(self) -> List[Violation]:
         """Run every invariant check; returns all violations found."""
-        violations: List[Violation] = []
-        violations.extend(self.check_causal_snapshots())
-        violations.extend(self.check_atomic_visibility())
-        violations.extend(self.check_read_your_writes())
-        violations.extend(self.check_monotonic_reads())
-        violations.extend(self.check_dependency_timestamps())
-        return violations
+        return self.check_level("tcc")
 
     def check_level(self, level: str) -> List[Violation]:
         """Verify the invariants a consistency level claims.
@@ -73,204 +69,33 @@ class ConsistencyChecker:
         per-replica installation order.  Protocols declare their level in
         :class:`repro.protocols.registry.ProtocolSpec`.
         """
-        if level == "tcc":
-            return self.check_all()
-        if level != "session":
-            raise ValueError(f"unknown consistency level {level!r}")
-        violations: List[Violation] = []
-        violations.extend(self.check_read_your_writes())
-        violations.extend(self.check_monotonic_reads())
-        violations.extend(self.check_dependency_timestamps())
-        return violations
+        verdicts = self._verdicts.get(level)
+        if verdicts is None:
+            checker = StreamingChecker(window=None, level=level)
+            checker.run(oracle_events(self.oracle))
+            verdicts = sorted(checker.violations, key=lambda v: KINDS.index(v.kind))
+            self._verdicts[level] = verdicts
+        return list(verdicts)
 
     def check_dependency_timestamps(self) -> List[Violation]:
-        """Proposition 1: if u1 -> u2 then u1.ut < u2.ut.
-
-        Commit timestamps must respect causality — every version's update
-        time strictly exceeds the update times of all its (direct, hence by
-        induction transitive) dependencies.
-        """
-        violations = []
-        for vid, deps in self.oracle.dependencies.items():
-            for dep in deps:
-                if dep[1] >= vid[1]:
-                    violations.append(
-                        Violation(
-                            kind="dependency-timestamps",
-                            client="(commit order)",
-                            detail=(
-                                f"version {vid} has ut {vid[1]} <= its dependency "
-                                f"{dep} with ut {dep[1]}"
-                            ),
-                        )
-                    )
-        return violations
+        """Proposition 1: if u1 -> u2 then u1.ut < u2.ut."""
+        return self._of_kind("dependency-timestamps")
 
     def check_causal_snapshots(self) -> List[Violation]:
         """Reads must not observe a version while missing its dependencies."""
-        violations = []
-        for read in self.oracle.reads:
-            for key, (vid, _source) in read.returned.items():
-                if vid is None or vid not in self.oracle.dependencies:
-                    continue
-                closure = self._closure(vid)
-                for dep_key, dep_vid in closure.items():
-                    if dep_key == key:
-                        continue
-                    returned = read.returned.get(dep_key)
-                    if returned is None or returned[0] is None:
-                        continue
-                    if _vid_order(returned[0]) < _vid_order(dep_vid):
-                        violations.append(
-                            Violation(
-                                kind="causal-snapshot",
-                                client=read.client,
-                                detail=(
-                                    f"tx {read.tid} read {vid} of {key!r} but an older "
-                                    f"{returned[0]} of {dep_key!r} (requires >= {dep_vid})"
-                                ),
-                            )
-                        )
-        return violations
+        return self._of_kind("causal-snapshot")
 
     def check_atomic_visibility(self) -> List[Violation]:
         """No fractured reads of one transaction's write set."""
-        violations = []
-        for read in self.oracle.reads:
-            for key, (vid, _source) in read.returned.items():
-                if vid is None:
-                    continue
-                tid = vid[2]
-                siblings = self.oracle.tx_writes.get(tid)
-                if not siblings:
-                    continue
-                for sibling in siblings:
-                    sibling_key = sibling[0]
-                    if sibling_key == key:
-                        continue
-                    returned = read.returned.get(sibling_key)
-                    if returned is None or returned[0] is None:
-                        continue
-                    if _vid_order(returned[0]) < _vid_order(sibling):
-                        violations.append(
-                            Violation(
-                                kind="atomic-visibility",
-                                client=read.client,
-                                detail=(
-                                    f"tx {read.tid} saw {vid} of {key!r} from tx {tid} but "
-                                    f"older {returned[0]} of {sibling_key!r} (fractured read)"
-                                ),
-                            )
-                        )
-        return violations
+        return self._of_kind("atomic-visibility")
 
     def check_read_your_writes(self) -> List[Violation]:
         """Reads reflect the client's own earlier commits."""
-        violations = []
-        events = self._events_by_client()
-        for client, timeline in events.items():
-            own_writes: Dict[str, VersionId] = {}
-            for kind, record in timeline:
-                if kind == "commit":
-                    for vid in record.written:
-                        key = vid[0]
-                        current = own_writes.get(key)
-                        if current is None or _vid_order(vid) > _vid_order(current):
-                            own_writes[key] = vid
-                    continue
-                for key, (vid, source) in record.returned.items():
-                    if source == "ws" or vid is None:
-                        continue
-                    expected = own_writes.get(key)
-                    if expected is not None and _vid_order(vid) < _vid_order(expected):
-                        violations.append(
-                            Violation(
-                                kind="read-your-writes",
-                                client=client,
-                                detail=(
-                                    f"read of {key!r} returned {vid}, older than the "
-                                    f"client's own committed {expected}"
-                                ),
-                            )
-                        )
-        return violations
+        return self._of_kind("read-your-writes")
 
     def check_monotonic_reads(self) -> List[Violation]:
         """Per client and key, returned versions never regress."""
-        violations = []
-        events = self._events_by_client()
-        for client, timeline in events.items():
-            seen: Dict[str, VersionId] = {}
-            for kind, record in timeline:
-                if kind != "read":
-                    continue
-                for key, (vid, _source) in record.returned.items():
-                    if vid is None:
-                        continue
-                    previous = seen.get(key)
-                    if previous is not None and _vid_order(vid) < _vid_order(previous):
-                        violations.append(
-                            Violation(
-                                kind="monotonic-reads",
-                                client=client,
-                                detail=(
-                                    f"read of {key!r} returned {vid} after having "
-                                    f"observed {previous}"
-                                ),
-                            )
-                        )
-                    if previous is None or _vid_order(vid) > _vid_order(previous):
-                        seen[key] = vid
-        return violations
+        return self._of_kind("monotonic-reads")
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _closure(self, vid: VersionId) -> Dict[str, VersionId]:
-        """Transitive per-key dependency frontier of ``vid`` (memoized).
-
-        Iterative post-order walk: dependency chains grow with session length
-        and would overflow Python's recursion limit if walked recursively.
-        """
-        cached = self._closure_cache.get(vid)
-        if cached is not None:
-            return cached
-        stack: List[Tuple[VersionId, bool]] = [(vid, False)]
-        while stack:
-            current, expanded = stack.pop()
-            if current in self._closure_cache:
-                continue
-            deps = self.oracle.dependencies.get(current, frozenset())
-            if not expanded:
-                stack.append((current, True))
-                for dep in deps:
-                    if dep in self.oracle.dependencies and dep not in self._closure_cache:
-                        stack.append((dep, False))
-                continue
-            frontier: Dict[str, VersionId] = {}
-            for dep in deps:
-                self._merge(frontier, dep[0], dep)
-                inner = self._closure_cache.get(dep)
-                if inner:
-                    for key, inner_vid in inner.items():
-                        self._merge(frontier, key, inner_vid)
-            self._closure_cache[current] = frontier
-        return self._closure_cache[vid]
-
-    @staticmethod
-    def _merge(frontier: Dict[str, VersionId], key: str, vid: VersionId) -> None:
-        current = frontier.get(key)
-        if current is None or _vid_order(vid) > _vid_order(current):
-            frontier[key] = vid
-
-    def _events_by_client(self) -> Dict[str, List[Tuple[str, object]]]:
-        events: Dict[str, List[Tuple[int, str, object]]] = {}
-        for read in self.oracle.reads:
-            events.setdefault(read.client, []).append((read.seq, "read", read))
-        for commit in self.oracle.commits:
-            events.setdefault(commit.client, []).append((commit.seq, "commit", commit))
-        ordered: Dict[str, List[Tuple[str, object]]] = {}
-        for client, timeline in events.items():
-            timeline.sort(key=lambda item: item[0])
-            ordered[client] = [(kind, record) for _, kind, record in timeline]
-        return ordered
+    def _of_kind(self, kind: str) -> List[Violation]:
+        return [violation for violation in self.check_level("tcc") if violation.kind == kind]

@@ -1,27 +1,25 @@
-"""Windowed streaming consistency checking (the ``--big`` run tier).
+"""Streaming consistency checking: the one implementation of the invariants.
 
-The in-memory :class:`~repro.consistency.checker.ConsistencyChecker` holds
-the whole history — every read, commit, and dependency edge — so run size
-is bounded by RAM.  This module re-states the same five invariants over a
-one-pass *event stream* (:mod:`repro.consistency.events`) with O(window)
-state:
+:class:`StreamingChecker` checks the five invariants listed in
+:mod:`repro.consistency.checker` over a one-pass *event stream*
+(:mod:`repro.consistency.events`) in recording (sequence) order.  The
+in-memory :class:`~repro.consistency.checker.ConsistencyChecker` is its
+``window=None`` case, fed the history of a :class:`ConsistencyOracle`
+through :func:`oracle_events`; the ``--big`` run tier feeds it from a
+:class:`StreamingOracle` or a persisted trace instead:
 
 * :class:`StreamingOracle` replaces the in-memory oracle for big runs: it
   keeps only per-session frontiers, computes each commit's direct
   dependencies exactly like the in-memory oracle, and spills the resulting
   events to a :class:`repro.sim.trace.TraceWriter` (and/or feeds an
   attached :class:`StreamingChecker` inline) instead of retaining them.
-* :class:`StreamingChecker` consumes events in recording (sequence) order.
-  With ``window=None`` it runs the *identical* closure/frontier algorithms
-  over the identical data as the in-memory checker, so its verdicts and
-  violation multisets are equal on any trace that fits in RAM (proved
-  run-for-run in ``tests/test_checker_streaming.py``).  With a finite
-  window (seconds of commit time) it retires dependency and transaction
-  state older than ``watermark - window`` and keeps, per key, a *retired
-  tip digest* — the newest retired version's exact dependency frontier and
-  transaction siblings — so the classic violation shapes (stale reads,
-  causal fractures, lost read-modify-writes) are still caught even when
-  the violating version has crossed the retirement boundary.
+* With a finite window (seconds of commit time) the checker retires
+  dependency and transaction state older than ``watermark - window`` and
+  keeps, per key, a *retired tip digest* — the newest retired version's
+  exact dependency frontier and transaction siblings — so the classic
+  violation shapes (stale reads, causal fractures, lost read-modify-writes)
+  are still caught even when the violating version has crossed the
+  retirement boundary.
 
 Memory profile with a finite window: dependency/closure/transaction maps
 are O(versions committed inside the window); per-client monotonic-read and
@@ -35,12 +33,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from ..clocks.hlc import micros_to_timestamp
-from ..sim.trace import TraceWriter, read_jsonl
+from ..sim.trace import TraceError, TraceWriter, read_jsonl_numbered
 from ..storage.version import TransactionId, Version
-from .checker import Violation
 from .events import (
     CommitEvent,
     ReadEvent,
@@ -49,27 +47,43 @@ from .events import (
     encode_commit,
     encode_read,
 )
-from .oracle import ConsistencyOracle, VersionId, _vid_order, is_preload, version_id
+from .oracle import ConsistencyOracle, VersionId, is_preload, version_id
 
 #: How many commits between retirement sweeps (amortises the heap pops).
 RETIRE_EVERY = 256
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One detected consistency violation."""
+
+    kind: str
+    client: str
+    detail: str
+
+    def __str__(self) -> str:  # pragma: no cover - debugging aid
+        return f"[{self.kind}] client={self.client}: {self.detail}"
+
+
+#: A version id's update time; versions of one key compare as ``vid[1:]``.
+_ut = itemgetter(1)
 
 
 @dataclass(frozen=True, slots=True)
 class RetiredTip:
     """Per-key digest of the newest version retired from the window.
 
-    ``frontier`` is the version's dependency frontier as known at
-    retirement time (exact if its closure was ever demanded, direct-deps
-    otherwise — transitive contributions below it were retired first), and
-    ``siblings`` the full write set of its transaction.  Reads returning
-    exactly this version are still checked for causal snapshots and atomic
-    visibility; reads returning versions retired even earlier are skipped,
-    the same sound-but-incomplete stance the in-memory checker documents.
+    ``frontier`` is the version's per-key dependency frontier as known at
+    retirement time (its memoized closure, in which dependencies retired
+    before it are leaves), and ``siblings`` the full write set of its
+    transaction.  Reads returning exactly this version are still checked
+    for causal snapshots and atomic visibility; reads returning versions
+    retired even earlier are skipped, the same sound-but-incomplete stance
+    the in-memory checker documents.
     """
 
     vid: VersionId
-    frontier: Tuple[Tuple[str, VersionId], ...]
+    frontier: Mapping[str, VersionId]
     siblings: Tuple[VersionId, ...]
 
 
@@ -77,10 +91,10 @@ class StreamingChecker:
     """One-pass invariant checker over a consistency event stream.
 
     ``window`` is in seconds of commit (HLC physical) time; ``None`` keeps
-    all state and is exactly equivalent to the in-memory checker.
-    ``level`` mirrors :meth:`ConsistencyChecker.check_level`: ``"tcc"``
-    runs all five invariants, ``"session"`` only read-your-writes,
-    monotonic reads, and dependency timestamps.
+    all state (the in-memory checker's mode).  ``level`` is the one
+    :meth:`ConsistencyChecker.check_level` takes: ``"tcc"`` runs all five
+    invariants, ``"session"`` only read-your-writes, monotonic reads, and
+    dependency timestamps.
     """
 
     def __init__(self, window: Optional[float] = None, level: str = "tcc") -> None:
@@ -98,6 +112,13 @@ class StreamingChecker:
             None if window is None else micros_to_timestamp(int(window * 1_000_000))
         )
         self._watermark = 0
+        #: Cutoff of the last retirement sweep: every in-window version at
+        #: or above it is still tracked.
+        self._retired_below = 0
+        #: Deps a closure met before their commit; ``_late`` holds those
+        #: whose commit then arrived, which the covered rule never skips.
+        self._unresolved: Set[VersionId] = set()
+        self._late: Set[VersionId] = set()
         #: Direct dependencies of each in-window version (event payloads).
         self._deps: Dict[VersionId, Tuple[VersionId, ...]] = {}
         #: Memoized per-key dependency frontier of each version's closure.
@@ -157,9 +178,12 @@ class StreamingChecker:
                     )
             self._deps[vid] = deps
             heappush(self._version_queue, (vid[1], vid))
+            if vid in self._unresolved or vid[1] < self._retired_below:
+                self._unresolved.discard(vid)
+                self._late.add(vid)
             key = vid[0]
             current = own.get(key)
-            if current is None or _vid_order(vid) > _vid_order(current):
+            if current is None or vid[1:] > current[1:]:
                 own[key] = vid
         if event.written:
             self._tx_writes[event.tid] = event.written
@@ -191,7 +215,7 @@ class StreamingChecker:
             # Read-your-writes (WS reads are served from the write set).
             if vid is not None and source != "ws" and own is not None:
                 expected = own.get(key)
-                if expected is not None and _vid_order(vid) < _vid_order(expected):
+                if expected is not None and vid[1:] < expected[1:]:
                     self.violations.append(
                         Violation(
                             kind="read-your-writes",
@@ -205,7 +229,7 @@ class StreamingChecker:
             # Monotonic reads.
             if vid is not None:
                 previous = seen.get(key)
-                if previous is not None and _vid_order(vid) < _vid_order(previous):
+                if previous is not None and vid[1:] < previous[1:]:
                     self.violations.append(
                         Violation(
                             kind="monotonic-reads",
@@ -216,32 +240,32 @@ class StreamingChecker:
                             ),
                         )
                     )
-                if previous is None or _vid_order(vid) > _vid_order(previous):
+                if previous is None or vid[1:] > previous[1:]:
                     seen[key] = vid
 
     def _check_causal(self, event: ReadEvent, key: str, vid: VersionId) -> None:
         """Causal snapshot: no version observed while missing a dependency."""
-        if vid in self._deps:
-            frontier: Iterable[Tuple[str, VersionId]] = self._closure(vid).items()
-        else:
-            tip = self._tips.get(key)
-            if tip is None or tip.vid != vid:
-                return  # preload, or retired beyond the per-key tip digest
-            frontier = tip.frontier
-        for dep_key, dep_vid in frontier:
-            if dep_key == key:
+        frontier = self._closures.get(vid)
+        if frontier is None:
+            if vid in self._deps:
+                frontier = self._closure(vid)
+            else:
+                tip = self._tips.get(key)
+                if tip is None or tip.vid != vid:
+                    return  # preload, or retired beyond the per-key tip digest
+                frontier = tip.frontier
+        for dep_key, (returned, _source) in event.returned.items():
+            if returned is None or dep_key == key:
                 continue
-            returned = event.returned.get(dep_key)
-            if returned is None or returned[0] is None:
-                continue
-            if _vid_order(returned[0]) < _vid_order(dep_vid):
+            dep_vid = frontier.get(dep_key)
+            if dep_vid is not None and returned[1:] < dep_vid[1:]:
                 self.violations.append(
                     Violation(
                         kind="causal-snapshot",
                         client=event.client,
                         detail=(
                             f"tx {event.tid} read {vid} of {key!r} but an older "
-                            f"{returned[0]} of {dep_key!r} (requires >= {dep_vid})"
+                            f"{returned} of {dep_key!r} (requires >= {dep_vid})"
                         ),
                     )
                 )
@@ -264,7 +288,7 @@ class StreamingChecker:
             returned = event.returned.get(sibling_key)
             if returned is None or returned[0] is None:
                 continue
-            if _vid_order(returned[0]) < _vid_order(sibling):
+            if returned[0][1:] < sibling[1:]:
                 self.violations.append(
                     Violation(
                         kind="atomic-visibility",
@@ -282,40 +306,74 @@ class StreamingChecker:
     def _closure(self, vid: VersionId) -> Dict[str, VersionId]:
         """Transitive per-key dependency frontier of ``vid`` (memoized).
 
-        The same iterative post-order walk as the in-memory checker's,
-        over the windowed dependency map: retired dependencies simply act
-        as leaves (their own frontier contributions were retired first).
+        An iterative post-order walk over the windowed dependency map
+        (retired dependencies act as leaves: their own frontier
+        contributions were retired first); each frontier is built by
+        :meth:`_build_frontier`.
         """
-        cached = self._closures.get(vid)
+        closures = self._closures
+        cached = closures.get(vid)
         if cached is not None:
             return cached
+        deps_of = self._deps
         stack: List[Tuple[VersionId, bool]] = [(vid, False)]
         while stack:
             current, expanded = stack.pop()
-            if current in self._closures:
+            if current in closures:
                 continue
-            deps = self._deps.get(current, ())
+            deps = deps_of.get(current, ())
             if not expanded:
                 stack.append((current, True))
                 for dep in deps:
-                    if dep in self._deps and dep not in self._closures:
+                    if dep not in closures and dep in deps_of:
                         stack.append((dep, False))
                 continue
-            frontier: Dict[str, VersionId] = {}
-            for dep in deps:
-                self._merge(frontier, dep[0], dep)
-                inner = self._closures.get(dep)
-                if inner:
-                    for key, inner_vid in inner.items():
-                        self._merge(frontier, key, inner_vid)
-            self._closures[current] = frontier
-        return self._closures[vid]
+            closures[current] = self._build_frontier(deps)
+        return closures[vid]
 
-    @staticmethod
-    def _merge(frontier: Dict[str, VersionId], key: str, vid: VersionId) -> None:
-        current = frontier.get(key)
-        if current is None or _vid_order(vid) > _vid_order(current):
-            frontier[key] = vid
+    def _build_frontier(self, deps: Tuple[VersionId, ...]) -> Dict[str, VersionId]:
+        """Per-key max over each dep and its memoized closure.
+
+        Deps are merged newest-first, and a dep that is a direct dep of an
+        already merged one is skipped (the *covered* rule, as COPS/Eiger's
+        nearest dependencies): a direct dep ``d`` of ``d1``, together with
+        whatever closure ``d`` has now, already lies inside ``d1``'s stored
+        closure, so merging it cannot change any per-key max.  That holds
+        because a stored closure never changes, a dep retired since is a
+        leaf contributing only itself, and a dep whose commit arrived after
+        a closure that named it was built is in ``_late`` and never skipped.
+        """
+        closures = self._closures
+        deps_of = self._deps
+        late = self._late
+        frontier: Dict[str, VersionId] = {}
+        covered: Set[VersionId] = set()
+        for dep in sorted(deps, key=_ut, reverse=True):
+            if dep in covered and dep not in late:
+                continue
+            inner = closures.get(dep)
+            if inner is not None:
+                if frontier:
+                    for key, inner_vid in inner.items():
+                        # Mostly the very same version, or an older one:
+                        # decide those without building (ut, tid, sr) slices.
+                        held = frontier.get(key)
+                        if held is None or (
+                            held is not inner_vid
+                            and inner_vid[1] >= held[1]
+                            and inner_vid[1:] > held[1:]
+                        ):
+                            frontier[key] = inner_vid
+                else:
+                    frontier.update(inner)
+                covered.update(deps_of[dep])
+            elif dep[1] >= self._retired_below:
+                self._unresolved.add(dep)  # not committed (yet)
+            key = dep[0]
+            held = frontier.get(key)
+            if held is None or dep[1:] > held[1:]:
+                frontier[key] = dep
+        return frontier
 
     def _retire(self) -> None:
         """Drop dependency/transaction state older than the window.
@@ -329,15 +387,19 @@ class StreamingChecker:
             _, vid = heappop(queue)
             key = vid[0]
             tip = self._tips.get(key)
-            if tip is None or _vid_order(vid) > _vid_order(tip.vid):
+            if tip is None or vid[1:] > tip.vid[1:]:
                 self._tips[key] = RetiredTip(
                     vid=vid,
-                    frontier=tuple(self._closure(vid).items()),
+                    frontier=self._closure(vid),
                     siblings=self._tx_writes.get(vid[2], ()),
                 )
             self._deps.pop(vid, None)
             self._closures.pop(vid, None)
+            self._late.discard(vid)
             self.versions_retired += 1
+        if cutoff > self._retired_below:
+            self._retired_below = cutoff
+            self._unresolved = {vid for vid in self._unresolved if vid[1] >= cutoff}
         tx_queue = self._tx_queue
         while tx_queue and tx_queue[0][0] < cutoff:
             _, tid = heappop(tx_queue)
@@ -438,7 +500,7 @@ class StreamingOracle:
     @staticmethod
     def _observe(frontier: Dict[str, VersionId], key: str, vid: VersionId) -> None:
         current = frontier.get(key)
-        if current is None or _vid_order(vid) > _vid_order(current):
+        if current is None or vid[1:] > current[1:]:
             frontier[key] = vid
 
 
@@ -496,14 +558,23 @@ def dump_trace(oracle: ConsistencyOracle, path) -> int:
 def check_trace(
     path, window: Optional[float] = None, level: str = "tcc"
 ) -> StreamingChecker:
-    """Re-check a persisted JSONL trace; returns the finished checker."""
+    """Re-check a persisted JSONL trace; returns the finished checker.
+
+    A truncated or corrupt line, or a record that is not a consistency
+    event, raises :class:`~repro.sim.trace.TraceError` naming the file and
+    line.
+    """
     checker = StreamingChecker(window=window, level=level)
-    checker.run(decode_event(obj) for obj in read_jsonl(path))
+    for lineno, obj in read_jsonl_numbered(path):
+        try:
+            event = decode_event(obj)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            problem = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise TraceError(
+                f"malformed consistency event in {path}, line {lineno}: {problem}"
+            ) from exc
+        checker.feed(event)
     return checker
-
-
-class TraceMergeError(RuntimeError):
-    """A shard trace could not be merged (truncated, corrupt, or malformed)."""
 
 
 def _read_merge_events(path, index: int) -> Iterator[Tuple[Tuple[float, int, int], dict]]:
@@ -512,32 +583,17 @@ def _read_merge_events(path, index: int) -> Iterator[Tuple[Tuple[float, int, int
     The key is ``(at, input_index, position)``: recording-time order first,
     then input order for cross-shard ties, then file position (which
     preserves each shard's own recording order, already nondecreasing in
-    ``at``).  Truncated or corrupt lines raise :class:`TraceMergeError`
-    naming the file and line — a short shard file must never merge
-    silently.
+    ``at``).  Truncated or corrupt lines raise
+    :class:`~repro.sim.trace.TraceError` naming the file and line — a short
+    shard file must never merge silently.
     """
-    import json
-    import pathlib
-
-    with pathlib.Path(path).open() as handle:
-        position = 0
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceMergeError(
-                    f"corrupt or truncated trace {path}, line {lineno}: {exc}"
-                ) from exc
-            if not isinstance(obj, dict) or "at" not in obj or "seq" not in obj:
-                raise TraceMergeError(
-                    f"not a consistency event in {path}, line {lineno}: "
-                    f"missing 'at'/'seq' fields"
-                )
-            yield (obj["at"], index, position), obj
-            position += 1
+    for position, (lineno, obj) in enumerate(read_jsonl_numbered(path)):
+        if "at" not in obj or "seq" not in obj:
+            raise TraceError(
+                f"not a consistency event in {path}, line {lineno}: "
+                f"missing 'at'/'seq' fields"
+            )
+        yield (obj["at"], index, position), obj
 
 
 def merge_traces(inputs: List, output) -> int:
@@ -555,7 +611,7 @@ def merge_traces(inputs: List, output) -> int:
     from heapq import merge as heap_merge
 
     if not inputs:
-        raise TraceMergeError("no input traces to merge")
+        raise TraceError("no input traces to merge")
     streams = [_read_merge_events(path, index) for index, path in enumerate(inputs)]
     with TraceWriter(output) as sink:
         for seq, (_, obj) in enumerate(heap_merge(*streams, key=lambda pair: pair[0])):

@@ -26,7 +26,8 @@ block       a BPR read parked / woke
 
 For runs whose event volume exceeds RAM, :class:`TraceWriter` spills
 JSON-line events to an append-only file instead of an in-memory list, and
-:func:`read_jsonl` streams them back one at a time.  The big-run tier
+:func:`read_jsonl` streams them back one at a time (a truncated or corrupt
+line is a :class:`TraceError` naming the file and line).  The big-run tier
 (``repro run --big``, docs/scaling.md) records consistency events through
 this sink and re-checks them with ``repro check --trace-in``.
 """
@@ -178,10 +179,35 @@ class TraceWriter:
         self.close()
 
 
+class TraceError(RuntimeError):
+    """A JSONL trace is truncated or corrupt, or holds a malformed record."""
+
+
+def read_jsonl_numbered(
+    path: Union[str, pathlib.Path],
+) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Stream ``(line number, object)`` for each non-blank line of a trace.
+
+    A line that is not a JSON object (a truncated last line, say) raises
+    :class:`TraceError` naming the file and line.
+    """
+    with pathlib.Path(path).open() as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceError(
+                    f"corrupt or truncated trace {path}, line {lineno}: {exc}"
+                ) from exc
+            if not isinstance(obj, dict):
+                raise TraceError(f"not a JSON object in {path}, line {lineno}")
+            yield lineno, obj
+
+
 def read_jsonl(path: Union[str, pathlib.Path]) -> Iterator[Dict[str, Any]]:
     """Stream the events of a JSONL trace file one dict at a time."""
-    with pathlib.Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+    for _, obj in read_jsonl_numbered(path):
+        yield obj

@@ -312,3 +312,65 @@ class TestStreamingMutationsAcrossRetirement:
         # The retired versions are out of the dependency window but the
         # newest one survives as the key's tip digest.
         assert checker.state_size < checker.commits_checked
+
+
+# ----------------------------------------------------------------------
+# The covered-dependency rule of the closure build must not over-prune
+# ----------------------------------------------------------------------
+class TestCoveredDependencyRule:
+    def test_newer_version_of_a_deps_key_does_not_cover_the_dep(self):
+        """v depends on p and q; p's closure holds a newer q-key version but
+        does not reach q, and only q's closure holds z5.
+
+        Skipping q because the frontier already holds a q-key version at
+        least as new would lose z5; only direct deps of a merged dep are
+        skipped, so the read of v next to z3 is still a causal fracture.
+        """
+        builder = _StreamBuilder()
+        (z3,) = builder.commit("wz", [("z", 3.0)], tid=(1, 1))
+        (z5,) = builder.commit("wz", [("z", 5.0)], tid=(2, 1), deps=(z3,))
+        (q,) = builder.commit("wq", [("q", 6.0)], tid=(3, 2), deps=(z5,))
+        (q_newer,) = builder.commit("wn", [("q", 7.0)], tid=(4, 3))
+        (p,) = builder.commit("wp", [("p", 8.0)], tid=(5, 4), deps=(q_newer,))
+        (v,) = builder.commit("wv", [("v", 9.0)], tid=(6, 5), deps=(p, q))
+        builder.read("reader", {"v": v, "z": z3})
+        checker = builder.check(window=None)
+        assert checker._closure(v) == {"p": p, "q": q_newer, "z": z5}
+        details = [x.detail for x in checker.violations if x.kind == "causal-snapshot"]
+        assert len(details) == 1
+        assert f"requires >= {z5}" in details[0]
+
+    def test_dep_reached_only_through_a_skipped_dep_counts(self):
+        """v depends on a and b, and a on b: b is skipped when v's closure
+        is built, yet z2, reached only through b, stays in it."""
+        builder = _StreamBuilder()
+        (z1,) = builder.commit("wz", [("z", 1.0)], tid=(1, 1))
+        (z2,) = builder.commit("wz", [("z", 2.0)], tid=(2, 1), deps=(z1,))
+        (b,) = builder.commit("wb", [("b", 3.0)], tid=(3, 2), deps=(z2,))
+        (a,) = builder.commit("wa", [("a", 4.0)], tid=(4, 3), deps=(b,))
+        (v,) = builder.commit("wv", [("v", 5.0)], tid=(5, 4), deps=(a, b))
+        builder.read("reader", {"v": v, "z": z1})
+        checker = builder.check(window=None)
+        assert checker._closure(v) == {"a": a, "b": b, "z": z2}
+        kinds = [x.kind for x in checker.violations]
+        assert kinds == ["causal-snapshot"]
+
+    def test_dep_committed_after_a_covering_closure_counts(self):
+        """p names q before q's commit arrives, and p's closure is built
+        then, with q as a leaf.  Once q arrives (depending on z5), v with
+        deps p and q must still merge q's closure rather than skip q as a
+        direct dep of p."""
+        builder = _StreamBuilder()
+        (z3,) = builder.commit("wz", [("z", 3.0)], tid=(1, 1))
+        (z5,) = builder.commit("wz", [("z", 5.0)], tid=(2, 1), deps=(z3,))
+        q = vid("q", 6.0, (3, 2))
+        (p,) = builder.commit("wp", [("p", 7.0)], tid=(4, 3), deps=(q,))
+        builder.read("early", {"p": p})
+        builder.commit("wq", [("q", 6.0)], tid=(3, 2), deps=(z5,))
+        (v,) = builder.commit("wv", [("v", 8.0)], tid=(5, 4), deps=(p, q))
+        builder.read("reader", {"v": v, "z": z3})
+        checker = builder.check(window=None)
+        assert checker._closure(p) == {"q": q}
+        assert checker._closure(v) == {"p": p, "q": q, "z": z5}
+        kinds = [x.kind for x in checker.violations]
+        assert kinds == ["causal-snapshot"]

@@ -1,11 +1,13 @@
-"""Streaming checker equivalence: one-pass verdicts match the in-memory oracle.
+"""Streaming checker equivalence: one-pass verdicts match the reference.
 
-The streaming checker's headline claim (docs/scaling.md) is that with an
-unbounded window it is *exactly* the in-memory checker: same violations,
-same counts, same detail strings, on any history that fits in RAM.  These
-tests prove that run-for-run over every registered protocol x three
-workload profiles x seeds — about fifty seeded live runs — and additionally
-that the JSONL trace round-trip (encode -> file -> decode) changes nothing.
+With an unbounded window the streaming checker (and so the in-memory
+:class:`~repro.consistency.checker.ConsistencyChecker`, its ``window=None``
+case) must report exactly what the brute-force reference checker
+(``tests/reference_checker.py``) derives from the invariant definitions:
+same violations, same counts, same detail strings.  These tests prove that
+run-for-run over every registered protocol x three workload profiles x
+seeds — about fifty seeded live runs — and additionally that the JSONL
+trace round-trip (encode -> file -> decode) changes nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import pytest
 
 from repro import build_cluster, small_test_config
 from repro.bench.harness import deploy_sessions
-from repro.consistency.checker import ConsistencyChecker
 from repro.consistency.oracle import ConsistencyOracle
 from repro.consistency.streaming import (
     StreamingChecker,
@@ -24,6 +25,7 @@ from repro.consistency.streaming import (
 )
 from repro.protocols import get_protocol, protocol_names
 from repro.workload.runner import SessionStats
+from tests.reference_checker import reference_check
 
 #: Three workload shapes: the paper's default zipfian read-heavy mix, the
 #: write-heavy YCSB-A mix, and YCSB-D's latest-biased distribution.
@@ -55,8 +57,13 @@ def violation_triples(violations):
     return sorted((v.kind, v.client, v.detail) for v in violations)
 
 
+def reference_triples(oracle, level):
+    """The reference checker's verdicts on an oracle history, sorted."""
+    return sorted(reference_check(oracle_events(oracle), level))
+
+
 class TestStreamingEquivalence:
-    """Unbounded-window streaming == in-memory, over the whole registry."""
+    """Unbounded-window streaming == reference, over the whole registry."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("profile", PROFILES)
@@ -65,34 +72,34 @@ class TestStreamingEquivalence:
         level = get_protocol(protocol).consistency
         oracle = run_with_oracle(protocol, profile, seed)
         assert len(oracle.commits) > 10, "run too small to be meaningful"
-        expected = ConsistencyChecker(oracle).check_level(level)
+        expected = reference_triples(oracle, level)
         checker = StreamingChecker(window=None, level=level)
         actual = checker.run(oracle_events(oracle))
         assert len(actual) == len(expected)
-        assert violation_triples(actual) == violation_triples(expected)
+        assert violation_triples(actual) == expected
         assert checker.commits_checked == len(oracle.commits)
         assert checker.reads_checked == len(oracle.reads)
 
     def test_trace_file_round_trip_identical(self, tmp_path):
-        """encode -> JSONL file -> decode -> check == direct in-memory check.
+        """encode -> JSONL file -> decode -> check == reference check.
 
         The eventual protocol is checked at the *tcc* level it does not
         claim, precisely because that yields a violation-rich history: the
         round trip must preserve every one of them byte-for-byte.
         """
         oracle = run_with_oracle("eventual", "default", 7)
-        expected = ConsistencyChecker(oracle).check_level("tcc")
+        expected = reference_triples(oracle, "tcc")
         assert expected, "expected the eventual protocol to violate causality"
         path = tmp_path / "trace.jsonl"
         count = dump_trace(oracle, path)
         assert count == len(oracle.commits) + len(oracle.reads)
         checker = check_trace(path, window=None, level="tcc")
-        assert violation_triples(checker.violations) == violation_triples(expected)
+        assert violation_triples(checker.violations) == expected
 
     def test_tcc_trace_round_trip_clean(self, tmp_path):
         """A clean paris run stays clean through the file round trip."""
         oracle = run_with_oracle("paris", "default", 7)
-        assert ConsistencyChecker(oracle).check_all() == []
+        assert reference_triples(oracle, "tcc") == []
         path = tmp_path / "trace.jsonl"
         dump_trace(oracle, path)
         assert check_trace(path, window=None, level="tcc").violations == []

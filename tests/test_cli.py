@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import cli
+from repro.consistency.streaming import check_trace
+from repro.sim.trace import TraceError
 
 FAST = ["--dcs", "3", "--machines", "2", "--threads", "1",
         "--keys", "20", "--warmup", "0.4", "--duration", "0.4"]
@@ -372,3 +374,43 @@ class TestBigRunTier:
         out = capsys.readouterr().out
         assert status == 1
         assert "violations" in out and "0 violations" not in out
+
+
+class TestBadTrace:
+    """A bad trace is a named error on one line and exit 2, never a traceback."""
+
+    GOOD = (
+        '{"at":0.5,"client":"c1","ct":655360,"deps":[],"seq":0,"t":"commit",'
+        '"tid":[1,1],"written":[["x",655360,1,1,0]]}\n'
+        '{"at":0.6,"client":"c2","returned":[["x","store",655360,1,1,0]],'
+        '"seq":1,"snapshot":655360,"t":"read","tid":[2,2]}\n'
+    )
+
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            ('{"at":0.7,"client":"c2","retur', "line 3"),
+            ("not json at all\n", "line 3"),
+            ('{"at":0.7,"seq":2,"t":"read","tid":[3,3],"snapshot":1,"returned":[]}\n',
+             "missing field 'client'"),
+            ('{"at":0.7,"seq":2,"t":"abort"}\n', "unknown trace event type 'abort'"),
+        ],
+        ids=["truncated-last-line", "non-json-line", "missing-field", "unknown-type"],
+    )
+    def test_check_trace_in_bad_trace_exits_2(self, capsys, tmp_path, tail, message):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text(self.GOOD + tail)
+        with pytest.raises(TraceError, match=message):
+            check_trace(trace)
+        assert cli.main(["check", "--trace-in", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "bad.jsonl" in line and "line 3" in line
+
+    def test_good_prefix_is_clean(self, tmp_path):
+        trace = tmp_path / "good.jsonl"
+        trace.write_text(self.GOOD)
+        checker = check_trace(trace)
+        assert (checker.commits_checked, checker.reads_checked) == (1, 1)
+        assert checker.violations == []

@@ -16,11 +16,7 @@ import pytest
 
 from repro import cli, small_test_config
 from repro.bench.harness import run_experiment
-from repro.consistency.streaming import (
-    StreamingOracle,
-    TraceMergeError,
-    merge_traces,
-)
+from repro.consistency.streaming import StreamingOracle, merge_traces
 from repro.faults import FaultEvent, FaultPlan
 from repro.protocols import protocol_names
 from repro.sim.latency import LatencyModel
@@ -31,7 +27,7 @@ from repro.sim.sharded import (
     run_sharded_experiment,
     shard_dcs,
 )
-from repro.sim.trace import TraceWriter, read_jsonl
+from repro.sim.trace import TraceError, TraceWriter, read_jsonl
 from repro.workers import WorkerCallableError, pool_map, require_module_level
 
 
@@ -233,7 +229,7 @@ class TestTraceMerge:
     def test_truncated_shard_file_is_a_named_error(self, tmp_path):
         self._write(tmp_path / "a.jsonl", [{"at": 1.0, "seq": 0}])
         (tmp_path / "b.jsonl").write_text('{"at": 1.0, "seq": 0}\n{"at": 2.0, "se')
-        with pytest.raises(TraceMergeError, match="b.jsonl"):
+        with pytest.raises(TraceError, match="b.jsonl"):
             merge_traces(
                 [str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")],
                 str(tmp_path / "out.jsonl"),
@@ -241,11 +237,11 @@ class TestTraceMerge:
 
     def test_event_missing_commit_time_is_a_named_error(self, tmp_path):
         (tmp_path / "a.jsonl").write_text('{"seq": 0}\n')
-        with pytest.raises(TraceMergeError, match="at"):
+        with pytest.raises(TraceError, match="at"):
             merge_traces([str(tmp_path / "a.jsonl")], str(tmp_path / "out.jsonl"))
 
     def test_no_inputs_is_a_named_error(self, tmp_path):
-        with pytest.raises(TraceMergeError, match="no input"):
+        with pytest.raises(TraceError, match="no input"):
             merge_traces([], str(tmp_path / "out.jsonl"))
 
 
