@@ -1,22 +1,21 @@
-"""Shared fixtures for the paper-reproduction benchmarks.
+"""Shared fixtures for the paper-reproduction shape assertions.
 
 Every ``bench_*`` module regenerates one table or figure of the paper at the
 scale selected by ``REPRO_BENCH_SCALE`` (small | medium | paper; default
-small).  Rendered tables are printed (visible with ``-s``) and written to
-``bench_results/`` (via :mod:`repro.bench.runner`) so EXPERIMENTS.md can be
-assembled from a run.
+small), prints it (visible with ``-s``), and asserts its shape against the
+paper.  Run them with::
+
+    REPRO_BENCH_SCALE=small PYTHONPATH=src python -m pytest benchmarks/bench_*.py
+
+EXPERIMENTS.md is written by ``benchmarks/run_all.py`` from the catalogue in
+:mod:`repro.bench.report`, not from these tests.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
 
 from repro.bench import experiments as exp
-from repro.bench import runner
-
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / runner.RESULTS_DIRNAME
 
 
 @pytest.fixture(scope="session")
@@ -27,12 +26,11 @@ def scale() -> exp.BenchScale:
 
 @pytest.fixture(scope="session")
 def emit():
-    """Print a rendered report and persist it under bench_results/."""
+    """Print a rendered report (``name`` labels it in the output)."""
 
     def _emit(name: str, text: str) -> str:
-        """Write one artifact atomically, echo it, and return it."""
-        runner.emit_text(RESULTS_DIR, name, text)
-        print(f"\n{text}\n")
+        """Echo one labelled artifact and return it."""
+        print(f"\n[{name}]\n{text}\n")
         return text
 
     return _emit

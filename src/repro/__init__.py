@@ -38,8 +38,8 @@ from .config import (
 from .consistency.checker import ConsistencyChecker, Violation
 from .consistency.oracle import ConsistencyOracle
 from .core.client import PaRiSClient, ReadResult, TransactionHandle
-from .core.server import PaRiSServer
-from .baselines.bpr import BPRClient, BPRServer
+from .protocols.bpr import BPRClient, BPRServer
+from .protocols.paris import PaRiSServer
 from .protocols import ProtocolServer, ProtocolSpec, get_protocol, protocol_names
 from .faults import FaultEvent, FaultInjector, FaultPlan
 

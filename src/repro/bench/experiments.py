@@ -2,11 +2,12 @@
 
 Each function runs the simulated counterpart of one experiment and returns
 structured rows; :mod:`repro.bench.report` renders them in the paper's
-format.  Experiments accept a :class:`BenchScale` so the same code drives
-quick CI-sized runs and the full paper-shaped deployment (5 DCs x 18
-machines); the *shape* of every result is scale-invariant, which is what the
-reproduction checks (see EXPERIMENTS.md, generated by
-``benchmarks/run_all.py``).
+format, and its ``SECTIONS`` catalogue pairs each with the paper's claim
+(``repro figure NAME``, ``benchmarks/run_all.py``).  Experiments accept a
+:class:`BenchScale` so the same code drives quick CI-sized runs and the full
+paper-shaped deployment (5 DCs x 18 machines); the *shape* of every result
+is scale-invariant, which is what the ``benchmarks/bench_*.py`` assertions
+check.
 """
 
 from __future__ import annotations

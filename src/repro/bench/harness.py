@@ -92,7 +92,7 @@ class Cluster:
         return self.sim.now - timestamp_to_seconds(self.min_ust())
 
     def crash_server(self, dc_id: int, partition: int) -> None:
-        """Fail-stop one replica (see :meth:`repro.core.server.PaRiSServer.crash`).
+        """Fail-stop one replica (see :meth:`repro.protocols.engine.ProtocolServer.crash`).
 
         Models Section III-C: durable state (store, 2PC logs, own watermark)
         survives, volatile state is dropped, and peers (TCP) retransmit — but

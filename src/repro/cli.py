@@ -58,20 +58,9 @@ from .consistency.oracle import ConsistencyOracle
 from .faults import FaultPlan, random_plan
 from .protocols import is_registered, protocol_names
 
-#: Figure/table names accepted by ``repro figure``.
-FIGURES = (
-    "fig1a",
-    "fig1b",
-    "fig2a",
-    "fig2b",
-    "fig3",
-    "fig4",
-    "table1",
-    "capacity",
-    "blocking",
-    "partition",
-    "design_space",
-)
+#: Names accepted by ``repro figure``: the paper-artifact catalogue plus the
+#: sweep-backed design-space study.
+FIGURES = (*report.SECTIONS, "design_space")
 
 #: The committed sweep spec behind ``repro figure design_space``.
 DESIGN_SPACE_SPEC = pathlib.Path("examples/sweeps/design_space.json")
@@ -292,13 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2,
         help="max concurrently executing jobs (default: 2); extra "
         "submissions queue FIFO so clients can't oversubscribe the machine",
-    )
-    serve_cmd.add_argument(
-        "--backend",
-        choices=("auto", "stdlib", "fastapi"),
-        default="auto",
-        help="HTTP stack: stdlib (no dependencies), fastapi (needs "
-        "'pip install .[serve]'), auto picks fastapi when installed",
     )
     serve_cmd.add_argument(
         "--quiet", action="store_true", help="suppress per-request log lines"
@@ -966,12 +948,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
         )
     )
-    try:
-        serve_forever(service, backend=args.backend, quiet=args.quiet)
-    except RuntimeError as exc:
-        # The fastapi backend without the [serve] extra installed.
-        print(f"serve failed: {exc}", file=sys.stderr)
-        return 2
+    serve_forever(service, quiet=args.quiet)
     return 0
 
 
@@ -1095,36 +1072,10 @@ def cmd_topology(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     """``repro figure``: regenerate one paper artifact."""
-    scale = exp.SCALES[args.scale]
-    name = args.name
-    if name == "fig1a":
-        points = exp.figure_1("95:5", scale=scale)
-        print(report.render_figure_1("95:5", points))
-        print(report.render_figure_1_summary(exp.summarize_figure_1("95:5", points)))
-    elif name == "fig1b":
-        points = exp.figure_1("50:50", scale=scale)
-        print(report.render_figure_1("50:50", points))
-        print(report.render_figure_1_summary(exp.summarize_figure_1("50:50", points)))
-    elif name == "fig2a":
-        print(report.render_figure_2(exp.figure_2a(scale), "2a"))
-    elif name == "fig2b":
-        print(report.render_figure_2(exp.figure_2b(scale), "2b"))
-    elif name == "fig3":
-        print(report.render_figure_3(exp.figure_3(scale)))
-    elif name == "fig4":
-        print(report.render_figure_4(exp.figure_4(scale)))
-    elif name == "table1":
-        print(report.render_table_1())
-    elif name == "capacity":
-        print(report.render_capacity(exp.capacity_comparison(scale)))
-    elif name == "blocking":
-        print(report.render_blocking(exp.blocking_time(scale)))
-    elif name == "partition":
-        print(report.render_partition_stall(exp.partition_stall(scale)))
-    elif name == "design_space":
+    if args.name == "design_space":
         print(report.render_design_space(design_space_summary()))
-    else:  # pragma: no cover - argparse enforces choices
-        raise ValueError(name)
+    else:
+        print(report.SECTIONS[args.name](exp.SCALES[args.scale]))
     return 0
 
 

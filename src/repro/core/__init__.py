@@ -1,13 +1,15 @@
-"""PaRiS core: the paper's protocol (client, server, UST, messages)."""
+"""PaRiS core: the paper's client, write cache, messages and metrics.
+
+The partition server lives in the protocol engine
+(:class:`repro.protocols.paris.PaRiSServer`).
+"""
 
 from .cache import WriteCache
 from .client import PaRiSClient, ReadResult, TransactionHandle, TransactionStateError
 from .metrics import ServerMetrics
-from .server import PaRiSServer
 
 __all__ = [
     "PaRiSClient",
-    "PaRiSServer",
     "ReadResult",
     "ServerMetrics",
     "TransactionHandle",

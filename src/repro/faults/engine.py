@@ -4,8 +4,8 @@ The injector schedules one kernel callback per plan event via
 ``Simulator.call_at``; when the simulation clock reaches an event's time the
 corresponding hook fires:
 
-* ``crash`` / ``recover``  → :meth:`repro.core.server.PaRiSServer.crash` /
-  ``.recover()`` (drop volatile state; replay durable state);
+* ``crash`` / ``recover``  → :meth:`repro.protocols.engine.ProtocolServer.crash`
+  / ``.recover()`` (drop volatile state; replay durable state);
 * ``partition`` / ``heal`` → :meth:`repro.sim.network.Network.partition_dcs`
   / ``.heal()`` (traffic is held and released in FIFO order, as TCP would);
 * ``degrade`` / ``restore`` → :meth:`repro.sim.network.Network.degrade_link`

@@ -8,8 +8,7 @@ The package behind ``repro serve`` / ``repro replay`` (docs/serving.md):
   run, asserting digest equality against the stored summary and trace;
 * :mod:`repro.serve.service` — the framework-neutral HTTP service core and
   its bounded job pool;
-* :mod:`repro.serve.app` — the WSGI (stdlib) and FastAPI (``[serve]``
-  extra) front ends.
+* :mod:`repro.serve.app` — the stdlib WSGI front end.
 """
 
 from .replay import ReplayReport, replay_run

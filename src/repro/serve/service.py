@@ -2,9 +2,8 @@
 
 This module is deliberately framework-free: :class:`ServeService` maps
 ``(method, path, query, body)`` to ``(status, payload)`` dicts, and the thin
-adapters in :mod:`repro.serve.app` expose it over WSGI (stdlib, always
-available) or FastAPI (the optional ``[serve]`` extra).  Everything testable
-lives here.
+stdlib WSGI adapter in :mod:`repro.serve.app` exposes it over HTTP.
+Everything testable lives here.
 
 Execution model
 ---------------

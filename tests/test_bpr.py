@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 from repro import build_cluster
-from repro.baselines.bpr import BPRServer
+from repro.protocols.bpr import BPRServer
 from tests.conftest import drive, run_for
 
 

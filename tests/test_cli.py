@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import cli
+from repro.bench import experiments as exp
+from repro.bench import report
 from repro.consistency.streaming import check_trace
 from repro.sim.trace import TraceError
 
@@ -29,6 +31,10 @@ class TestParser:
     def test_figure_choices(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["figure", "fig99"])
+
+    def test_figure_names_are_the_catalogue(self):
+        """`repro figure` offers exactly the catalogue plus design_space."""
+        assert cli.FIGURES == (*report.SECTIONS, "design_space")
 
     def test_config_from_args(self):
         args = cli.build_parser().parse_args(["run", *FAST, "--mix", "50:50"])
@@ -151,6 +157,13 @@ class TestCommands:
         assert cli.main(["figure", "table1"]) == 0
         out = capsys.readouterr().out
         assert "PaRiS (this work)" in out
+
+    def test_figure_prints_the_catalogue_section(self, capsys):
+        """`repro figure NAME` prints the catalogue entry run_all.py writes."""
+        assert cli.main(["figure", "capacity"]) == 0
+        out = capsys.readouterr().out
+        assert report.SECTIONS["capacity"](exp.SCALES["small"]) in out
+        assert "**Paper claim" in out
 
     def test_format_result_fields(self):
         from repro import run_experiment, small_test_config

@@ -44,6 +44,26 @@ class TestReadmeCommandReference:
             )
 
 
+class TestFigureNames:
+    def test_every_documented_figure_name_is_a_choice(self):
+        """Each `repro figure <name>` in README.md and docs/*.md is accepted.
+
+        Names are lowercase; an upper-case placeholder such as ``NAME`` is
+        not a citation.
+        """
+        pages = [README, *sorted(DOCS.glob("*.md"))]
+        cited = {
+            (page.name, name)
+            for page in pages
+            for name in re.findall(
+                r"repro figure\s+([a-z0-9_]+)", page.read_text(encoding="utf-8")
+            )
+        }
+        assert cited, "no `repro figure NAME` found in the docs"
+        unknown = sorted(pair for pair in cited if pair[1] not in cli.FIGURES)
+        assert not unknown, f"docs cite figure names the CLI rejects: {unknown}"
+
+
 class TestDocsTableOfContents:
     def test_readme_toc_lists_every_docs_page(self):
         readme = README.read_text(encoding="utf-8")

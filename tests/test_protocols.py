@@ -307,17 +307,6 @@ class TestGstLocal:
 
 
 class TestCompatShims:
-    def test_core_server_import_path(self):
-        from repro.core.server import PaRiSServer as shimmed
-
-        assert shimmed is PaRiSServer
-
-    def test_baselines_bpr_import_path(self):
-        from repro.baselines.bpr import BPRClient, BPRServer as shimmed
-
-        assert shimmed is BPRServer
-        assert BPRClient is get_protocol("bpr").client_cls
-
     def test_bpr_overrides_nothing_but_reads(self):
         """Satellite check: no *args/**kwargs passthrough, no _noop hack."""
         import repro.protocols.bpr as bpr_module

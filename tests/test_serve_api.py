@@ -11,7 +11,7 @@ import urllib.request
 import pytest
 
 from repro.config import ServeConfig
-from repro.serve.app import make_server, wsgi_app
+from repro.serve.app import MAX_BODY_BYTES, make_server, wsgi_app
 from repro.serve.service import ServeService
 
 #: Tiny-but-real launch parameters (same scale as tests/test_cli.py's FAST).
@@ -353,3 +353,33 @@ class TestWsgiAppDirect:
         }
         list(wsgi_app(service)(environ, start_response))
         assert captured["status"] == 400
+
+    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 10**12])
+    def test_oversized_body_413_without_reading(self, service, length):
+        class UnreadableStream:
+            def read(self, *args):
+                raise AssertionError("an oversized body must not be read")
+
+        captured = {}
+
+        def start_response(status, headers):
+            captured["status"] = status
+
+        environ = {
+            "REQUEST_METHOD": "POST",
+            "PATH_INFO": "/runs",
+            "QUERY_STRING": "",
+            "CONTENT_LENGTH": str(length),
+            "wsgi.input": UnreadableStream(),
+        }
+        payload = json.loads(b"".join(wsgi_app(service)(environ, start_response)))
+        assert captured["status"] == "413 Content Too Large"
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert sum(service.handle("GET", "/health")[1]["jobs"].values()) == 0
+
+    def test_body_at_the_cap_is_read(self, service):
+        """The cap is inclusive: a body of exactly MAX_BODY_BYTES is parsed."""
+        body = {"p": "x" * (MAX_BODY_BYTES - len('{"p": ""}'))}
+        status, payload = self.call(service, "POST", "/runs", body)
+        assert status == 400
+        assert "exceeds" not in payload["error"]
